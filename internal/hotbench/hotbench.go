@@ -1,8 +1,8 @@
 // Package hotbench is the simulator's hot-path microbenchmark suite: a
 // set of self-timing scenarios that measure the software cost of one
-// simulated transactional operation (Read, Write, Commit, or a full
-// sihtm Atomic block) as a function of the transaction's footprint in
-// cache lines.
+// simulated transactional operation (Read, Write, a first-touch read
+// transaction, Commit, an aborted transaction, or a full sihtm Atomic
+// block) as a function of the transaction's footprint in cache lines.
 //
 // The paper's argument is about large-footprint transactions, so the
 // simulator's per-access cost must not grow with footprint — otherwise
@@ -33,12 +33,13 @@ import (
 
 // DefaultSweep is the footprint ladder, in cache lines: from well under
 // the 64-line TMCAM to ~64× past it, the regime SI-HTM stretches into.
-var DefaultSweep = []int{1, 4, 16, 64, 256, 1024, 4096}
+var DefaultSweep = []int{1, 4, 8, 16, 64, 256, 1024, 4096}
 
 // Case is one microbenchmark: Setup builds a fresh simulated machine and
 // returns a runner executing n operations of the scenario.
 type Case struct {
-	// Op is the operation family: "read", "write", "commit" or "atomic".
+	// Op is the operation family: "read", "write", "coldread",
+	// "commit", "abort" or "atomic".
 	Op string
 	// Mode is the transaction flavour ("HTM"/"ROT"); "" for atomic.
 	Mode string
@@ -58,7 +59,8 @@ func (c Case) Sub() string {
 
 // Name is the case's full display name, e.g. "Read/HTM/lines=1024".
 func (c Case) Name() string {
-	title := map[string]string{"read": "Read", "write": "Write", "commit": "Commit", "atomic": "Atomic"}[c.Op]
+	title := map[string]string{"read": "Read", "write": "Write", "coldread": "ColdRead",
+		"commit": "Commit", "abort": "Abort", "atomic": "Atomic"}[c.Op]
 	return title + "/" + c.Sub()
 }
 
@@ -147,6 +149,49 @@ func commitCase(mode htm.Mode, lines int) Case {
 	}}
 }
 
+// coldReadCase measures a whole read-only transaction over `lines`
+// distinct cache lines, every read a first touch — one op is Begin +
+// lines×Read + Commit. In HTM mode each read registers a directory entry
+// and Commit releases them all; in ROT mode reads are untracked, so the
+// HTM/ROT ratio is the directory's share of a large read.
+func coldReadCase(mode htm.Mode, lines int) Case {
+	return Case{Op: "coldread", Mode: mode.String(), Lines: lines, Setup: func() func(int) {
+		heap, m := newMachine(lines)
+		addrs := allocLines(heap, lines)
+		th := m.Thread(0)
+		return func(n int) {
+			for k := 0; k < n; k++ {
+				tx := th.Begin(mode)
+				for _, a := range addrs {
+					tx.Read(a)
+				}
+				tx.Commit()
+			}
+		}
+	}}
+}
+
+// abortCase measures the release path: one op is Begin + lines tracked
+// reads + an explicit abort, which withdraws every directory entry.
+func abortCase(lines int) Case {
+	return Case{Op: "abort", Mode: htm.ModeHTM.String(), Lines: lines, Setup: func() func(int) {
+		heap, m := newMachine(lines)
+		addrs := allocLines(heap, lines)
+		th := m.Thread(0)
+		body := func(tx *htm.Tx) {
+			for _, a := range addrs {
+				tx.Read(a)
+			}
+			tx.AbortExplicit()
+		}
+		return func(n int) {
+			for k := 0; k < n; k++ {
+				htm.Run(th, htm.ModeHTM, body)
+			}
+		}
+	}}
+}
+
 // atomicCase measures the end-to-end sihtm update path — ROT attempt,
 // commit, quiescence — for a transaction reading and writing `lines`
 // cache lines, through the same Atomic entry point workloads use.
@@ -173,22 +218,17 @@ func Cases(sweep []int) []Case {
 		sweep = DefaultSweep
 	}
 	var cs []Case
-	for _, op := range []string{"read", "write", "commit"} {
+	for _, mk := range []func(htm.Mode, int) Case{readCase, writeCase, coldReadCase, commitCase} {
 		for _, mode := range []htm.Mode{htm.ModeHTM, htm.ModeROT} {
 			for _, lines := range sweep {
-				switch op {
-				case "read":
-					cs = append(cs, readCase(mode, lines))
-				case "write":
-					cs = append(cs, writeCase(mode, lines))
-				case "commit":
-					cs = append(cs, commitCase(mode, lines))
-				}
+				cs = append(cs, mk(mode, lines))
 			}
 		}
 	}
-	for _, lines := range sweep {
-		cs = append(cs, atomicCase(lines))
+	for _, mk := range []func(int) Case{abortCase, atomicCase} {
+		for _, lines := range sweep {
+			cs = append(cs, mk(lines))
+		}
 	}
 	return cs
 }

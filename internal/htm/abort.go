@@ -37,11 +37,14 @@ func (c AbortCode) String() string {
 // Abort is the abort notification delivered when a transaction fails. It
 // is thrown as a panic from transactional operations and recovered by the
 // runtime's retry loop (see Run); it also satisfies error for callers
-// that surface it.
+// that surface it. Delivered values are shared, one per cause, so an
+// abort allocates nothing; they must not be modified.
 type Abort struct {
 	// Code is the abort cause.
 	Code AbortCode
 }
+
+var aborts = [...]Abort{{CodeTxConflict}, {CodeNonTxConflict}, {CodeCapacity}, {CodeExplicit}}
 
 // Error implements error.
 func (a *Abort) Error() string { return "htm: transaction aborted: " + a.Code.String() }

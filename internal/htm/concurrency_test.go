@@ -1,6 +1,7 @@
 package htm_test
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -19,14 +20,25 @@ func retryTx(th *htm.Thread, mode htm.Mode, body func(tx *htm.Tx)) {
 	}
 }
 
+// forShardCounts runs test at the default directory size and with a
+// single shard. With one shard every live entry shares it, so lookups
+// scan many entries and releases swap-remove under contention.
+func forShardCounts(t *testing.T, test func(t *testing.T, shards int)) {
+	for _, shards := range []int{htm.DefaultShards, 1} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) { test(t, shards) })
+	}
+}
+
 // Concurrent increments through regular HTM transactions must not lose
 // updates: tracked reads turn every interleaving into a conflict that
 // kills one party.
-func TestConcurrentCounterHTM(t *testing.T) {
+func TestConcurrentCounterHTM(t *testing.T) { forShardCounts(t, testConcurrentCounterHTM) }
+
+func testConcurrentCounterHTM(t *testing.T, shards int) {
 	const threads = 4
 	const perThread = 2000
 	heap := memsim.NewHeapLines(64)
-	m := htm.NewMachine(heap, htm.Config{Topology: topology.New(threads, 1)})
+	m := htm.NewMachine(heap, htm.Config{Topology: topology.New(threads, 1), Shards: shards})
 	x := heap.AllocLine()
 
 	var wg sync.WaitGroup
@@ -52,9 +64,11 @@ func TestConcurrentCounterHTM(t *testing.T) {
 // Writers maintain x == y inside one transaction; regular-HTM readers
 // must never observe a torn pair — this exercises both conflict tracking
 // and the atomicity of multi-line commit write-back.
-func TestInvariantPairNeverTorn(t *testing.T) {
+func TestInvariantPairNeverTorn(t *testing.T) { forShardCounts(t, testInvariantPairNeverTorn) }
+
+func testInvariantPairNeverTorn(t *testing.T, shards int) {
 	heap := memsim.NewHeapLines(64)
-	m := htm.NewMachine(heap, htm.Config{Topology: topology.New(4, 1)})
+	m := htm.NewMachine(heap, htm.Config{Topology: topology.New(4, 1), Shards: shards})
 	x := heap.AllocLine()
 	y := heap.AllocLine()
 
@@ -113,8 +127,12 @@ func TestInvariantPairNeverTorn(t *testing.T) {
 // Randomised single-threaded transactions checked against a shadow map:
 // committed writes and only committed writes reach memory.
 func TestRandomOpsAgainstShadowModel(t *testing.T) {
+	forShardCounts(t, testRandomOpsAgainstShadowModel)
+}
+
+func testRandomOpsAgainstShadowModel(t *testing.T, shards int) {
 	heap := memsim.NewHeapLines(256)
-	m := htm.NewMachine(heap, htm.Config{Topology: topology.New(1, 1), TMCAMLines: 16})
+	m := htm.NewMachine(heap, htm.Config{Topology: topology.New(1, 1), TMCAMLines: 16, Shards: shards})
 	base := heap.AllocLines(16)
 	th := m.Thread(0)
 	r := rng.New(99)

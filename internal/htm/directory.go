@@ -14,32 +14,41 @@ import (
 // it in their read set. Every simulated memory access consults the
 // directory to detect conflicts exactly as a coherence snoop would.
 //
-// Each shard also keeps lock-free occupancy counters so that the
-// overwhelmingly common case — accessing a line nobody tracks — skips the
-// shard mutex entirely. This is what makes uninstrumented reads (ROT
-// reads, read-only fast-path reads) nearly free, reproducing the paper's
-// claim that SI-HTM adds no per-read software cost.
+// A shard keeps its live entries by value in a slice found by linear
+// scan; at the default size a shard holds a handful. Release swap-removes
+// an entry and parks its readers array past the slice's length for the
+// next entry, so the steady state allocates nothing.
+//
+// Lock-free occupancy counters let the common case — accessing a line
+// nobody tracks — skip the shard mutex. The writer count, checked by
+// every ROT read and plain load, has a cache line to itself, so tracked
+// reads dirtying the mutex line do not evict it. This makes
+// uninstrumented reads (ROT reads, read-only fast-path reads) nearly
+// free, reproducing the paper's claim that SI-HTM adds no per-read
+// software cost.
 
 // lineEntry records the transactional owners of one cache line.
 type lineEntry struct {
+	line    memsim.Line
 	writer  *Tx   // exclusive transactional writer, or nil
 	readers []*Tx // regular-mode transactions tracking the line as read
 }
 
-// shard is one directory partition.
+// shard is one directory partition: two cache lines, the first holding
+// only the writer count.
 type shard struct {
-	writers atomic.Int64 // entries in this shard with writer != nil
+	writers atomic.Int32 // entries in this shard with writer != nil
+	_       [60]byte
 	readers atomic.Int64 // total tracked-reader registrations in this shard
 	mu      sync.Mutex
-	lines   map[memsim.Line]*lineEntry
-	free    []*lineEntry // entry pool, guarded by mu
-	_       [64]byte
+	entries []lineEntry // live entries, guarded by mu; spare slots past len
+	_       [24]byte
 }
 
 // shardOf maps a line to its shard with a Fibonacci hash. The shift is
 // precomputed in NewMachine; this is on every simulated access's path.
 func (m *Machine) shardOf(line memsim.Line) *shard {
-	return &m.shards[uint64(line)*0x9e3779b97f4a7c15>>m.shardShift]
+	return &m.shards[m.shardIndexOf(line)]
 }
 
 // shardIndexOf returns the shard index for ordered multi-shard locking.
@@ -47,44 +56,57 @@ func (m *Machine) shardIndexOf(line memsim.Line) int {
 	return int(uint64(line) * 0x9e3779b97f4a7c15 >> m.shardShift)
 }
 
-// entry returns the lineEntry for line, creating it if needed. Caller
-// holds s.mu.
-func (s *shard) entry(line memsim.Line) *lineEntry {
-	if e, ok := s.lines[line]; ok {
-		return e
+// find returns line's entry and its index, or nil. Caller holds s.mu;
+// the pointer is valid until the shard's next add or release.
+func (s *shard) find(line memsim.Line) (int, *lineEntry) {
+	for j := range s.entries {
+		if s.entries[j].line == line {
+			return j, &s.entries[j]
+		}
 	}
-	var e *lineEntry
-	if n := len(s.free); n > 0 {
-		e = s.free[n-1]
-		s.free = s.free[:n-1]
-	} else {
-		e = &lineEntry{}
-	}
-	s.lines[line] = e
-	return e
+	return -1, nil
 }
 
-// maybeRelease deletes the entry if it no longer tracks anyone. Caller
-// holds s.mu.
-func (s *shard) maybeRelease(line memsim.Line, e *lineEntry) {
-	if e.writer == nil && len(e.readers) == 0 {
-		delete(s.lines, line)
-		e.readers = e.readers[:0]
-		s.free = append(s.free, e)
+// add appends an empty entry for line, reusing a parked slot and its
+// readers array when one is spare. Caller holds s.mu.
+func (s *shard) add(line memsim.Line) *lineEntry {
+	n := len(s.entries)
+	if n == cap(s.entries) {
+		s.entries = append(s.entries, lineEntry{})
 	}
+	s.entries = s.entries[:n+1]
+	s.entries[n].line = line
+	return &s.entries[n]
 }
 
-// removeReader unregisters tx from e.readers if present. Caller holds s.mu.
-func (s *shard) removeReader(e *lineEntry, tx *Tx) {
-	for i, r := range e.readers {
+// withdraw drops tx's registrations — writer and reader, since
+// read-then-write upgrades register both — from line's entry, and
+// releases the entry if it no longer tracks anyone. Caller holds s.mu.
+func (s *shard) withdraw(line memsim.Line, tx *Tx) {
+	j, e := s.find(line)
+	if e == nil {
+		return
+	}
+	if e.writer == tx {
+		e.writer = nil
+		s.writers.Add(-1)
+	}
+	for k, r := range e.readers {
 		if r == tx {
 			last := len(e.readers) - 1
-			e.readers[i] = e.readers[last]
+			e.readers[k] = e.readers[last]
 			e.readers[last] = nil
 			e.readers = e.readers[:last]
 			s.readers.Add(-1)
-			return
+			break
 		}
+	}
+	if e.writer == nil && len(e.readers) == 0 {
+		// Swap rather than copy, so the parked slot keeps its own
+		// readers array instead of aliasing the moved entry's.
+		last := len(s.entries) - 1
+		s.entries[j], s.entries[last] = s.entries[last], s.entries[j]
+		s.entries = s.entries[:last]
 	}
 }
 
@@ -107,8 +129,8 @@ func (m *Machine) conflictRead(line memsim.Line, requester *Tx) {
 			return
 		}
 		s.mu.Lock()
-		e, ok := s.lines[line]
-		if !ok || e.writer == nil || e.writer == requester {
+		_, e := s.find(line)
+		if e == nil || e.writer == nil || e.writer == requester {
 			s.mu.Unlock()
 			return
 		}

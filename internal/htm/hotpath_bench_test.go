@@ -34,6 +34,14 @@ func BenchmarkRead(b *testing.B) { benchCases(b, "read") }
 // 1→4096 lines, in both HTM and ROT modes.
 func BenchmarkWrite(b *testing.B) { benchCases(b, "write") }
 
+// BenchmarkColdRead measures a Begin + N first-touch Reads + Commit
+// read-only transaction, in both HTM and ROT modes.
+func BenchmarkColdRead(b *testing.B) { benchCases(b, "coldread") }
+
+// BenchmarkAbort measures Begin + N tracked Reads + an explicit abort:
+// the directory's release path.
+func BenchmarkAbort(b *testing.B) { benchCases(b, "abort") }
+
 // BenchmarkCommit measures a full Begin + N×Write + Commit transaction;
 // ns/op grows with N by construction, allocs/op must stay at zero.
 func BenchmarkCommit(b *testing.B) { benchCases(b, "commit") }

@@ -102,9 +102,6 @@ func NewMachine(heap *memsim.Heap, cfg Config) *Machine {
 		shards:     make([]shard, cfg.Shards),
 		shardShift: uint(64 - bits.TrailingZeros(uint(cfg.Shards))),
 	}
-	for i := range m.shards {
-		m.shards[i].lines = make(map[memsim.Line]*lineEntry)
-	}
 	m.threads = make([]Thread, cfg.Topology.MaxThreads())
 	for i := range m.threads {
 		core, _ := cfg.Topology.Place(i)
@@ -151,8 +148,7 @@ func (m *Machine) DirectoryQuiescent() bool {
 	for i := range m.shards {
 		s := &m.shards[i]
 		s.mu.Lock()
-		n := len(s.lines)
-		w, r := s.writers.Load(), s.readers.Load()
+		n, w, r := len(s.entries), s.writers.Load(), s.readers.Load()
 		s.mu.Unlock()
 		if n != 0 || w != 0 || r != 0 {
 			return false

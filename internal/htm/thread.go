@@ -106,8 +106,8 @@ func (m *Machine) conflictStore(line memsim.Line) {
 			return
 		}
 		s.mu.Lock()
-		e, ok := s.lines[line]
-		if !ok {
+		_, e := s.find(line)
+		if e == nil {
 			s.mu.Unlock()
 			return
 		}

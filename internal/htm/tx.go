@@ -147,7 +147,7 @@ func (tx *Tx) abortNow() {
 	}
 	tx.cleanup()
 	tx.status.Store(statusAborted)
-	panic(&Abort{Code: code})
+	panic(&aborts[code])
 }
 
 // forceAbortQuiet kills and cleans up a live transaction without
@@ -185,35 +185,27 @@ func (tx *Tx) resetFootprint() {
 // TMCAM charge and discards buffered writes. Buffered stores were never
 // visible, so rollback is purely local.
 func (tx *Tx) cleanup() {
-	m := tx.th.m
-	for _, line := range tx.writeLines.Lines() {
-		s := m.shardOf(line)
-		s.mu.Lock()
-		if e, ok := s.lines[line]; ok {
-			if e.writer == tx {
-				e.writer = nil
-				s.writers.Add(-1)
-			}
-			s.removeReader(e, tx) // read-then-write upgrades register both
-			s.maybeRelease(line, e)
-		}
-		s.mu.Unlock()
-	}
-	for _, line := range tx.readLines.Lines() {
-		if tx.writeLines.Contains(line) {
-			continue // already handled above
-		}
-		s := m.shardOf(line)
-		s.mu.Lock()
-		if e, ok := s.lines[line]; ok {
-			s.removeReader(e, tx)
-			s.maybeRelease(line, e)
-		}
-		s.mu.Unlock()
-	}
-	m.uncharge(tx.th.core, tx.charged)
+	tx.release(tx.writeLines.Lines(), false)
+	tx.release(tx.readLines.Lines(), true)
+	tx.th.m.uncharge(tx.th.core, tx.charged)
 	tx.charged = 0
 	tx.resetFootprint()
+}
+
+// release withdraws the transaction from the directory entry of each
+// line, locking one shard at a time. With skipWrites, lines of the write
+// set are left alone: they were (or will be) withdrawn on their own.
+func (tx *Tx) release(lines []memsim.Line, skipWrites bool) {
+	m := tx.th.m
+	for _, line := range lines {
+		if skipWrites && tx.writeLines.Contains(line) {
+			continue
+		}
+		s := m.shardOf(line)
+		s.mu.Lock()
+		s.withdraw(line, tx)
+		s.mu.Unlock()
+	}
 }
 
 // bufferedRead returns the transaction's own buffered value for addr.
@@ -269,19 +261,20 @@ func (tx *Tx) trackRead(line memsim.Line) {
 	s := m.shardOf(line)
 	for {
 		s.mu.Lock()
-		e := s.entry(line)
-		if w := e.writer; w != nil && w != tx && !w.doom(CodeTxConflict) && w.isLive() {
+		_, e := s.find(line)
+		if e != nil && e.writer != nil && e.writer != tx && !e.writer.doom(CodeTxConflict) && e.writer.isLive() {
 			// Committing writer: wait for its write-back to drain.
-			s.maybeRelease(line, e)
 			s.mu.Unlock()
 			tx.checkDoomed()
 			runtime.Gosched()
 			continue
 		}
 		if !m.charge(tx.th.core, 1) {
-			s.maybeRelease(line, e)
 			s.mu.Unlock()
 			tx.abort(CodeCapacity)
+		}
+		if e == nil {
+			e = s.add(line)
 		}
 		e.readers = append(e.readers, tx)
 		s.readers.Add(1)
@@ -318,18 +311,18 @@ func (tx *Tx) claimWrite(line memsim.Line) {
 	m := tx.th.m
 	s := m.shardOf(line)
 	s.mu.Lock()
-	e := s.entry(line)
-	if w := e.writer; w != nil && w != tx && w.isLive() {
+	_, e := s.find(line)
+	if e != nil && e.writer != nil && e.writer != tx && e.writer.isLive() {
 		s.mu.Unlock()
 		tx.abort(CodeTxConflict)
 	}
 	needCharge := !tx.readLines.Contains(line)
 	if needCharge && !m.charge(tx.th.core, 1) {
-		if e.writer == nil {
-			s.maybeRelease(line, e)
-		}
 		s.mu.Unlock()
 		tx.abort(CodeCapacity)
+	}
+	if e == nil {
+		e = s.add(line)
 	}
 	for _, r := range e.readers {
 		if r != tx {
@@ -441,33 +434,14 @@ func (tx *Tx) Commit() {
 			h.PostCommit(tx.th.id)
 		}
 		for _, line := range tx.writeLines.Lines() {
-			s := m.shardOf(line)
-			if e, ok := s.lines[line]; ok {
-				if e.writer == tx {
-					e.writer = nil
-					s.writers.Add(-1)
-				}
-				s.removeReader(e, tx)
-				s.maybeRelease(line, e)
-			}
+			m.shardOf(line).withdraw(line, tx)
 		}
 		for i := len(order) - 1; i >= 0; i-- {
 			m.shards[order[i]].mu.Unlock()
 		}
 		tx.shardOrder = order
 	}
-	for _, line := range tx.readLines.Lines() {
-		if tx.writeLines.Contains(line) {
-			continue
-		}
-		s := m.shardOf(line)
-		s.mu.Lock()
-		if e, ok := s.lines[line]; ok {
-			s.removeReader(e, tx)
-			s.maybeRelease(line, e)
-		}
-		s.mu.Unlock()
-	}
+	tx.release(tx.readLines.Lines(), true)
 	m.uncharge(tx.th.core, tx.charged)
 	tx.charged = 0
 	tx.resetFootprint()

@@ -17,7 +17,8 @@ import (
 type BenchRecord struct {
 	// Name is the benchmark's display id, e.g. "Read/HTM/lines=1024".
 	Name string `json:"name"`
-	// Op is the operation family: "read", "write", "commit" or "atomic".
+	// Op is the operation family: "read", "write", "coldread", "commit",
+	// "abort" or "atomic".
 	Op string `json:"op"`
 	// Mode is the transaction flavour ("HTM", "ROT"), or "" for
 	// end-to-end benchmarks that exercise a full system.
@@ -79,19 +80,23 @@ func (rep *BenchReport) Sort() {
 }
 
 // benchOpRank presents operations in hot-path order: the per-access
-// primitives first, then commit, then end-to-end.
+// primitives first, then whole transactions, then end-to-end.
 func benchOpRank(op string) int {
 	switch op {
 	case "read":
 		return 0
 	case "write":
 		return 1
-	case "commit":
+	case "coldread":
 		return 2
-	case "atomic":
+	case "commit":
 		return 3
-	default:
+	case "abort":
 		return 4
+	case "atomic":
+		return 5
+	default:
+		return 6
 	}
 }
 
