@@ -8,6 +8,7 @@ import (
 	"os"
 
 	"sihtm/internal/memsim"
+	"sihtm/internal/sgl"
 )
 
 // Checkpoint file layout (little-endian):
@@ -59,6 +60,9 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // redo is idempotent — and records the image caught only partially are
 // completed. The recovered state is exactly commits 1..K for K = end of
 // the log's valid prefix (≥ E).
+//
+// The one word the log cannot repair is an attached system's global
+// lock, so the image writes it as free (see lockedSystem).
 func (s *Store) WriteCheckpoint(path string) (watermark uint64, err error) {
 	s.barrier.Lock()
 	watermark = s.log.LastSeq()
@@ -98,10 +102,15 @@ func (s *Store) WriteCheckpoint(path string) (watermark uint64, err error) {
 	}
 	var chunk [512]byte
 	for a := 0; a < words; {
-		n := 0
+		first, n := a, 0
 		for ; n < len(chunk)/8 && a < words; n++ {
 			binary.LittleEndian.PutUint64(chunk[n*8:], heap.Load(memsim.Addr(a)))
 			a++
+		}
+		for _, l := range s.locks {
+			if i := int(l) - first; i >= 0 && i < n {
+				binary.LittleEndian.PutUint64(chunk[i*8:], sgl.Unlocked)
+			}
 		}
 		if err = emit(chunk[:n*8]); err != nil {
 			return 0, fmt.Errorf("durable: checkpoint: %w", err)

@@ -36,6 +36,7 @@ import (
 	"sihtm/internal/footprint"
 	"sihtm/internal/htm"
 	"sihtm/internal/memsim"
+	"sihtm/internal/sgl"
 	"sihtm/internal/stats"
 	"sihtm/internal/tm"
 	"sihtm/internal/wal"
@@ -84,6 +85,10 @@ type Store struct {
 	barrier sync.RWMutex
 
 	last []threadSeq // per-thread last assigned sequence
+
+	// locks are the heap words of the attached systems' global locks,
+	// which checkpoints write as free (see lockedSystem).
+	locks []memsim.Addr
 
 	// ackHist observes how long each WaitAck'd Atomic blocked on the
 	// group-commit fsync — the durability tax as the caller feels it.
@@ -187,8 +192,18 @@ func (s *Store) Attach(sys tm.System, m *htm.Machine) tm.System {
 	if h, ok := sys.(tm.HookableSystem); ok {
 		h.SetCommitHook(s)
 	}
+	if l, ok := sys.(lockedSystem); ok {
+		s.locks = append(s.locks, l.SGL().Addr())
+	}
 	return &System{inner: sys, store: s}
 }
+
+// lockedSystem is implemented by the systems whose single global lock
+// lives in the heap: sgl, and the fall-back path of htm, si-htm and
+// p8tm. The lock word is volatile state that no log record ever resets,
+// so a checkpoint taken while a fall-back holds it must write it as
+// free, or the recovered heap would spin forever on its first acquire.
+type lockedSystem interface{ SGL() *sgl.Lock }
 
 // System is the durable tm.System wrapper: Atomic commits through the
 // inner system (whose hooks feed the store) and then, in WaitAck mode,

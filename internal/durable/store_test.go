@@ -345,3 +345,55 @@ func copyFile(t *testing.T, path string) string {
 	}
 	return out
 }
+
+// TestCheckpointWritesSGLFree: a fuzzy checkpoint taken while a
+// system's single global lock is held must restore the lock as free.
+// The lock word lives in the heap but no log record ever resets it, so
+// an image that kept the holder's value would recover a heap whose
+// first fall-back spins forever. The body checkpoints on every
+// execution; its 32-line write set overflows the 8-line TMCAM, so the
+// last execution — whose image survives — runs on the SGL fall-back
+// with the lock held.
+func TestCheckpointWritesSGLFree(t *testing.T) {
+	for _, f := range factories() {
+		if f.name == "silo" { // no SGL: Silo locks lines outside the heap
+			continue
+		}
+		f := f
+		t.Run(f.name, func(t *testing.T) {
+			heap := memsim.NewHeapLines(64)
+			big := heap.AllocLines(32)
+			sys, m := f.mk(heap, 2)
+			dir := t.TempDir()
+			logPath := filepath.Join(dir, "wal.log")
+			ckptPath := filepath.Join(dir, "heap.ckpt")
+			store, err := Open(heap, logPath, 16, Config{WaitAck: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			dsys := store.Attach(sys, m)
+			var ckptErr error
+			dsys.Atomic(0, tm.KindUpdate, func(ops tm.Ops) {
+				for l := 0; l < 32; l++ {
+					a := big + memsim.Addr(l*memsim.WordsPerLine)
+					ops.Write(a, ops.Read(a)+1)
+				}
+				_, ckptErr = store.WriteCheckpoint(ckptPath)
+			})
+			if ckptErr != nil {
+				t.Fatal(ckptErr)
+			}
+			if sys.Collector().Snapshot().Fallbacks == 0 {
+				t.Fatal("the transaction never took the SGL fall-back; the image was not taken under the lock")
+			}
+			if err := store.Close(); err != nil {
+				t.Fatal(err)
+			}
+			recovered := memsim.NewHeap(heap.Size())
+			if _, err := Recover(recovered, ckptPath, logPath); err != nil {
+				t.Fatal(err)
+			}
+			heapsEqual(t, heap, recovered, "recovered-vs-live")
+		})
+	}
+}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"io"
 	"time"
 
 	"sihtm/internal/harness"
@@ -277,22 +278,21 @@ func connScaleEntry() Entry {
 		if err != nil {
 			return err
 		}
-		host, err := startNetHost(y, NetPoint{
-			Scenario: "ycsb-a", System: system,
-			Threads: connScaleShards, Shards: connScaleShards,
-			CtrlInterval: connScaleCtrlInterval(sc),
-		}, sc)
+		host, err := inBackground(startNode(ServeConfig{
+			Addr: loopback, Scenario: "ycsb-a", System: system,
+			Shards: connScaleShards, BatchMax: netBatchDefault,
+		}, sc, connScaleCtrlInterval(sc), 0, io.Discard, nil, 0))
 		if err != nil {
 			return err
 		}
+		defer host.stop()
 		keys := scaledKeys(y.baseKeys, sc, 128)
-		if err := runConnScaleLadder(e, host.addr.String(), system, keys, sc, hook, nil); err != nil {
-			host.close()
+		if err := runConnScaleLadder(e, host.Addr.String(), system, keys, sc, hook, nil); err != nil {
 			return err
 		}
 		// verify drains and re-checks population conservation — the
 		// GET/RMW mix must not have created or destroyed keys.
-		return host.verify(y, NetPoint{Scenario: "ycsb-a", System: system, Threads: connScaleShards}, sc)
+		return host.verify()
 	}
 	return e
 }

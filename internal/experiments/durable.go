@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"os"
-	"path/filepath"
 	"time"
 
 	"sihtm/internal/durable"
@@ -34,8 +33,8 @@ const durableWindowDefault = 500 * time.Microsecond
 var durableWindows = []time.Duration{0, 200 * time.Microsecond, time.Millisecond, 5 * time.Millisecond}
 
 // checkpointer periodically writes fuzzy checkpoints for a store until
-// halted — the one lifecycle shared by the durable cells and the
-// long-running `repro serve` instance.
+// halted — the one lifecycle shared by the durable cells, every durable
+// node, and `repro durable`.
 type checkpointer struct {
 	stop chan struct{}
 	done chan struct{}
@@ -95,7 +94,7 @@ func openDurableCell(heap *memsim.Heap, m *htm.Machine, window time.Duration) (*
 	if err != nil {
 		return nil, err
 	}
-	store, err := durable.Open(heap, filepath.Join(dir, "wal.log"),
+	store, err := durable.Open(heap, logPath(dir),
 		m.Topology().MaxThreads(), durable.Config{Window: window, WaitAck: true})
 	if err != nil {
 		os.RemoveAll(dir)
@@ -104,11 +103,8 @@ func openDurableCell(heap *memsim.Heap, m *htm.Machine, window time.Duration) (*
 	return &durableCell{dir: dir, store: store}, nil
 }
 
-func (c *durableCell) logPath() string  { return filepath.Join(c.dir, "wal.log") }
-func (c *durableCell) ckptPath() string { return filepath.Join(c.dir, "heap.ckpt") }
-
 func (c *durableCell) startCheckpointer(every time.Duration) {
-	c.ckpt = startCheckpointer(c.store, c.ckptPath(), every)
+	c.ckpt = startCheckpointer(c.store, ckptPath(c.dir), every)
 }
 
 func (c *durableCell) stopCheckpointer() error {
@@ -178,7 +174,7 @@ func durableYCSBPoint(y ycsbSpec, sc Scale, system string, threads int, window t
 	if err != nil {
 		return fail(err)
 	}
-	if _, err := durable.Recover(m2.Heap(), cell.ckptPath(), cell.logPath()); err != nil {
+	if _, err := durable.Recover(m2.Heap(), ckptPath(cell.dir), logPath(cell.dir)); err != nil {
 		return fail(err)
 	}
 	if err := compareHeaps(heap, m2.Heap()); err != nil {
@@ -311,7 +307,7 @@ func durableVacationPoint(v vacationSpec, sc Scale, system string, threads int) 
 	if err != nil {
 		return fail(err)
 	}
-	if _, err := durable.Recover(heap2, cell.ckptPath(), cell.logPath()); err != nil {
+	if _, err := durable.Recover(heap2, ckptPath(cell.dir), logPath(cell.dir)); err != nil {
 		return fail(err)
 	}
 	if err := compareHeaps(heap, heap2); err != nil {

@@ -6,8 +6,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"sihtm/internal/durable"
@@ -112,27 +110,11 @@ func StartDurable(dir string, meta DurableMeta, duration, ckptEvery time.Duratio
 	if meta.Threads <= 0 {
 		return fmt.Errorf("experiments: durable run needs a positive thread count")
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	// A fresh run truncates wal.log (wal.Create), so a checkpoint left
-	// by a previous run in the same directory would belong to a
-	// different history — recovery restoring it over the new log would
-	// produce a state from neither run. Remove it up front.
-	for _, stale := range []string{ckptPath(dir), ckptPath(dir) + ".tmp"} {
-		if err := os.Remove(stale); err != nil && !os.IsNotExist(err) {
-			return err
-		}
-	}
 	w, err := buildDurableWorkload(meta, sc)
 	if err != nil {
 		return err
 	}
-	mj, err := json.MarshalIndent(meta, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(metaPath(dir), append(mj, '\n'), 0o644); err != nil {
+	if err := prepareRunDir(dir, meta); err != nil {
 		return err
 	}
 
@@ -147,29 +129,16 @@ func StartDurable(dir string, meta DurableMeta, duration, ckptEvery time.Duratio
 	}
 	dsys := store.Attach(sys, w.machine)
 
-	var stop atomic.Bool
-	var wg sync.WaitGroup
-	mk := w.mkWorker(dsys)
-	for id := 0; id < meta.Threads; id++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			op := mk(id)
-			for !stop.Load() {
-				op()
-			}
-		}(id)
+	stopWorkers := runWorkers(meta.Threads, w.mkWorker(dsys))
+	var ckpt *checkpointer
+	var ckptFailed <-chan struct{} // closes only when a checkpoint fails
+	if ckptEvery > 0 {
+		ckpt = startCheckpointer(store, ckptPath(dir), ckptEvery)
+		ckptFailed = ckpt.done
 	}
-
 	start := time.Now()
 	report := time.NewTicker(time.Second)
 	defer report.Stop()
-	var ckpt <-chan time.Time
-	if ckptEvery > 0 {
-		t := time.NewTicker(ckptEvery)
-		defer t.Stop()
-		ckpt = t.C
-	}
 	var deadline <-chan time.Time
 	if duration > 0 {
 		deadline = time.After(duration)
@@ -183,19 +152,42 @@ func StartDurable(dir string, meta DurableMeta, duration, ckptEvery time.Duratio
 					time.Since(start).Round(time.Second), dsys.Collector().Snapshot().Commits,
 					store.Log().DurableSeq(), st.Fsyncs)
 			}
-		case <-ckpt:
-			if _, err := store.WriteCheckpoint(ckptPath(dir)); err != nil {
+		case <-ckptFailed:
+			return ckpt.halt()
+		case <-deadline:
+			stopWorkers()
+			if err := ckpt.halt(); err != nil {
 				return err
 			}
-		case <-deadline:
-			stop.Store(true)
-			wg.Wait()
 			if err := w.check(); err != nil {
 				return fmt.Errorf("experiments: post-run invariants: %w", err)
 			}
 			return store.Close()
 		}
 	}
+}
+
+// prepareRunDir readies a run directory for a fresh durable run — the
+// one setup `repro durable` and a durable `repro serve` share. A fresh
+// run truncates wal.log (wal.Create), so a checkpoint left by a
+// previous run in the same directory belongs to a different history:
+// recovery restoring it over the new log would produce a state from
+// neither run. It is removed up front, and meta.json records what
+// recovery needs to rebuild the deterministic base.
+func prepareRunDir(dir string, meta DurableMeta) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	for _, stale := range []string{ckptPath(dir), ckptPath(dir) + ".tmp"} {
+		if err := os.Remove(stale); err != nil && !os.IsNotExist(err) {
+			return err
+		}
+	}
+	mj, err := json.MarshalIndent(meta, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(metaPath(dir), append(mj, '\n'), 0o644)
 }
 
 // DurableRecovery is the JSON-serializable outcome of RecoverDurable —

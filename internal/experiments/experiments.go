@@ -4,9 +4,11 @@
 // (figure, workload, systems, thread ladder, parameters) enumerable
 // without running anything, plus a cell runner that measures one
 // (entry × system) column and emits typed results.Record values. The
-// repro CLI (cmd/repro), the classic benchmark binary (cmd/sihtm-bench)
-// and the testing.B harness (bench_test.go) are all thin views over
-// this one registry, so they regenerate exactly the same runs.
+// repro CLI (cmd/repro) and the testing.B harness (bench_test.go) are
+// both thin views over this one registry, so they regenerate exactly
+// the same runs. The package is also the composition root of a served
+// node (node.go): `repro serve`, perfbench and every networked cell
+// build their servers through startNode.
 package experiments
 
 import (
@@ -98,7 +100,7 @@ func NewSystem(name string, m *htm.Machine, heap *memsim.Heap, threads int) (tm.
 	case "sgl":
 		return sgl.NewSystem(m, threads), nil
 	default:
-		return nil, fmt.Errorf("experiments: unknown system %q", name)
+		return nil, fmt.Errorf("experiments: unknown system %q (known: %v)", name, SystemNames())
 	}
 }
 

@@ -1,26 +1,15 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"net"
 	"os"
-	"sync"
-	"sync/atomic"
 	"time"
 
-	"sihtm/internal/alert"
-	"sihtm/internal/durable"
 	"sihtm/internal/harness"
-	"sihtm/internal/replica"
 	"sihtm/internal/results"
-	"sihtm/internal/server"
 	"sihtm/internal/stats"
-	"sihtm/internal/telemetry"
 	"sihtm/internal/topology"
-	"sihtm/internal/trace"
-	"sihtm/internal/tsdb"
 	"sihtm/internal/wire"
 	"sihtm/internal/workload/engine"
 	"sihtm/internal/workload/ycsb"
@@ -80,20 +69,16 @@ type NetPoint struct {
 	// bounds: in-flight ops are capped by clients × ops/tx, and that
 	// budget spreads across the shards.
 	Shards int
-	// Conns is the client connection-pool size (0 = ⌈Threads/2⌉, so
-	// sessions share pipelined connections).
-	Conns int
 	// Batch sets the server's admission bound for the point (0 keeps the
 	// server's current bound).
 	Batch int
 	// AdmitWait sets the server's admission grace period for the point
 	// (0 keeps the server's current value).
 	AdmitWait time.Duration
-	// Durable (self-host only) attaches a WAL store, checkpoints fuzzily
-	// during the run, and verifies digest-exact recovery afterwards.
+	// Durable (self-host only) attaches a WAL store at the default
+	// group-commit window, checkpoints fuzzily during the run, and
+	// verifies digest-exact recovery afterwards.
 	Durable bool
-	// Window is the durable group-commit fsync window.
-	Window time.Duration
 	// P99Target (self-host only) starts the adaptive admission
 	// controller against this server-side p99 service-latency target.
 	P99Target time.Duration
@@ -155,7 +140,7 @@ func RunNetPoint(p NetPoint, sc Scale) (harness.Result, NetExtras, error) {
 // the workers are still driving load (the net-observe cell scrapes the
 // live /metrics endpoint there). mid receives the self-hosted server (nil
 // when the point targets an external address).
-func runNetPoint(p NetPoint, sc Scale, mid func(h *netHost) error) (harness.Result, NetExtras, error) {
+func runNetPoint(p NetPoint, sc Scale, mid func(h *NetServer) error) (harness.Result, NetExtras, error) {
 	sc = sc.withDefaults()
 	fail := func(err error) (harness.Result, NetExtras, error) { return harness.Result{}, NetExtras{}, err }
 	y, err := ycsbSpecByID(p.Scenario)
@@ -165,21 +150,40 @@ func runNetPoint(p NetPoint, sc Scale, mid func(h *netHost) error) (harness.Resu
 	if p.Threads <= 0 {
 		return fail(fmt.Errorf("experiments: net point needs a positive thread count"))
 	}
-	conns := p.Conns
-	if conns <= 0 {
-		conns = (p.Threads + 1) / 2
-	}
+	conns := (p.Threads + 1) / 2 // sessions share pipelined connections
 
-	// Self-host a loopback server when no address is given.
+	// Self-host a loopback node when no address is given.
 	addr := p.Addr
-	var host *netHost
+	var host *NetServer
 	if addr == "" {
-		host, err = startNetHost(y, p, sc)
+		cfg := ServeConfig{
+			Addr:      loopback,
+			Scenario:  p.Scenario,
+			System:    p.System,
+			Shards:    p.Shards,
+			BatchMax:  netBatchDefault,
+			P99Target: p.P99Target,
+		}
+		if cfg.Shards <= 0 {
+			cfg.Shards = p.Threads
+		}
+		if mid != nil { // the observer scrapes the node's metrics listener
+			cfg.MetricsAddr = loopback
+		}
+		if p.Durable {
+			dir, err := os.MkdirTemp("", "sihtm-net-")
+			if err != nil {
+				return fail(err)
+			}
+			defer os.RemoveAll(dir)
+			cfg.DurableDir, cfg.Window, cfg.CkptEvery = dir, durableWindowDefault, sc.Measure/3
+		}
+		host, err = inBackground(startNode(cfg, sc, p.CtrlInterval, 0, io.Discard, nil, 0))
 		if err != nil {
 			return fail(err)
 		}
-		defer host.close()
-		addr = host.addr.String()
+		defer host.stop()
+		addr = host.Addr.String()
 	}
 
 	rb, err := engine.DialRemote(addr, conns)
@@ -208,24 +212,10 @@ func runNetPoint(p NetPoint, sc Scale, mid func(h *netHost) error) (harness.Resu
 
 	// The run loop mirrors harness.Run but snapshots BOTH sides at the
 	// window edges, so the server-side abort/latency delta covers exactly
-	// the client's measurement window.
-	var stop atomic.Bool
-	var wg sync.WaitGroup
-	mk := d.Workers(csys)
-	for id := 0; id < p.Threads; id++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			op := mk(id)
-			for !stop.Load() {
-				op()
-			}
-		}(id)
-	}
-	// Workers must be quiesced before any connection teardown (the
-	// session protocol panics on transport failure), so every exit path
-	// below stops them first.
-	stopWorkers := func() { stop.Store(true); wg.Wait() }
+	// the client's measurement window. Workers must be quiesced before
+	// any connection teardown (the session protocol panics on transport
+	// failure), so every exit path below stops them first.
+	stopWorkers := runWorkers(p.Threads, d.Workers(csys))
 	time.Sleep(sc.Warmup)
 	sv0, err := rb.Stats()
 	if err != nil {
@@ -291,126 +281,11 @@ func runNetPoint(p NetPoint, sc Scale, mid func(h *netHost) error) (harness.Resu
 	// Self-hosted points verify in-process invariants (population
 	// conservation) and, durably, digest-exact recovery.
 	if host != nil {
-		if err := host.verify(y, p, sc); err != nil {
+		if err := host.verify(); err != nil {
 			return fail(err)
 		}
 	}
 	return hr, extras, nil
-}
-
-// netHost is one self-hosted loopback server and its in-process guts.
-type netHost struct {
-	srv     *server.Server
-	addr    net.Addr
-	backend engine.Backend
-	keys    int
-	cell    *durableCell
-	served  chan error
-}
-
-// startNetHost builds the scenario, optionally attaches durability, and
-// serves it on an ephemeral loopback port.
-func startNetHost(y ycsbSpec, p NetPoint, sc Scale) (*netHost, error) {
-	m, backend, d, err := y.build(sc, p.Threads)
-	if err != nil {
-		return nil, err
-	}
-	shards := p.Shards
-	if shards <= 0 {
-		shards = p.Threads
-	}
-	heap := m.Heap()
-	sys, err := NewSystem(p.System, m, heap, shards)
-	if err != nil {
-		return nil, err
-	}
-	h := &netHost{backend: backend, keys: d.Spec().Keys, served: make(chan error, 1)}
-	cfg := server.Config{
-		Backend:      backend,
-		System:       sys,
-		Shards:       shards,
-		BatchMax:     netBatchDefault,
-		Scenario:     y.id,
-		P99Target:    p.P99Target,
-		CtrlInterval: p.CtrlInterval,
-	}
-	if p.Durable {
-		h.cell, err = openDurableCell(heap, m, p.Window)
-		if err != nil {
-			return nil, err
-		}
-		cfg.Backend = engine.NewDurableBackend(backend, h.cell.store)
-		cfg.System = h.cell.store.Attach(sys, m)
-		cfg.Store = h.cell.store
-		// No drain-time checkpoint: recovery must reconstruct the live
-		// heap from the fuzzy checkpoint plus the log prefix alone — the
-		// same image a SIGKILL would leave behind.
-		h.cell.startCheckpointer(sc.Measure / 3)
-	}
-	h.srv, err = server.New(cfg)
-	if err != nil {
-		if h.cell != nil {
-			h.cell.close()
-		}
-		return nil, err
-	}
-	h.addr, err = h.srv.Listen("127.0.0.1:0")
-	if err != nil {
-		if h.cell != nil {
-			h.cell.close()
-		}
-		return nil, err
-	}
-	go func() { h.served <- h.srv.Serve() }()
-	return h, nil
-}
-
-// verify drains the server and re-checks invariants in-process; durable
-// hosts additionally prove digest-exact recovery: rebuild the
-// deterministic base, restore fuzzy checkpoint + log, compare to the
-// live heap word for word, and re-run the workload checks on the
-// recovered state.
-func (h *netHost) verify(y ycsbSpec, p NetPoint, sc Scale) error {
-	if err := h.srv.Drain(); err != nil {
-		return err
-	}
-	if err := <-h.served; err != nil {
-		return fmt.Errorf("serve: %w", err)
-	}
-	if h.cell != nil {
-		if err := h.cell.stopCheckpointer(); err != nil {
-			return fmt.Errorf("checkpointer: %w", err)
-		}
-	}
-	if err := engineCheck(h.backend, h.keys); err != nil {
-		return err
-	}
-	if h.cell == nil {
-		return nil
-	}
-	m2, backend2, d2, err := y.build(sc, p.Threads)
-	if err != nil {
-		return err
-	}
-	if _, err := durable.Recover(m2.Heap(), h.cell.ckptPath(), h.cell.logPath()); err != nil {
-		return err
-	}
-	if err := compareHeaps(h.cell.store.Heap(), m2.Heap()); err != nil {
-		return err
-	}
-	if err := engineCheck(backend2, d2.Spec().Keys); err != nil {
-		return fmt.Errorf("recovered state: %w", err)
-	}
-	return nil
-}
-
-// close tears the host down (idempotent with verify's drain).
-func (h *netHost) close() {
-	h.srv.Drain()
-	if h.cell != nil {
-		h.cell.stopCheckpointer()
-		h.cell.close()
-	}
 }
 
 // recordNet stamps a net measurement with its registry coordinates and
@@ -510,7 +385,7 @@ func netDurableEntry() Entry {
 		for _, n := range sc.threads(topology.PaperThreadLadder) {
 			hr, ex, err := RunNetPoint(NetPoint{
 				Scenario: "ycsb-a", System: system, Threads: n, Batch: netBatchDefault,
-				Durable: true, Window: durableWindowDefault,
+				Durable: true,
 			}, sc)
 			if err != nil {
 				return fmt.Errorf("net-durable-ycsb-a %s/%d: %w", system, n, err)
@@ -532,296 +407,6 @@ func netEntries() []Entry {
 // drive against an external server.
 func NetEntryIDs() []string {
 	return []string{"net-ycsb-a", "net-batch-window", "net-durable-ycsb-a", "net-connscale"}
-}
-
-// ServeConfig assembles `repro serve`: a long-running wire server
-// hosting one scenario build.
-type ServeConfig struct {
-	// Addr is the listen address (e.g. "127.0.0.1:7654").
-	Addr string
-	// Scenario is the hosted build ("ycsb-a", "ycsb-b", "ycsb-c");
-	// durable serving requires "ycsb-a" (the recovery pipeline's
-	// deterministic rebuild covers it).
-	Scenario string
-	// System is the concurrency control.
-	System string
-	// ScaleName sizes the build and labels TStats replies.
-	ScaleName string
-	// Shards is the executor count; the build's deterministic seed
-	// derives from it, so recovery must use the same value (persisted in
-	// meta.json).
-	Shards int
-	// BatchMax is the initial admission bound.
-	BatchMax int
-	// AdmitWait is the initial admission grace period.
-	AdmitWait time.Duration
-	// P99Target, when positive, starts the adaptive admission
-	// controller: the server steers BatchMax and the admission grace
-	// online against this p99 service-latency target.
-	P99Target time.Duration
-	// DurableDir, when set, makes the server durable: wal.log +
-	// heap.ckpt + meta.json live there, mirroring `repro durable` run
-	// directories so `repro recover` replays them unchanged.
-	DurableDir string
-	// Window is the durable group-commit window.
-	Window time.Duration
-	// CkptEvery is the fuzzy checkpoint interval (0 disables periodic
-	// checkpoints; the drain-time checkpoint still happens).
-	CkptEvery time.Duration
-	// FollowAddr, when set, makes this server a read replica of the
-	// durable leader at that address: the scenario is rebuilt to the
-	// identical deterministic base image (the leader's TStats reply is
-	// probed to enforce matching build parameters), the leader's WAL
-	// stream is replayed into the local heap, and only read-only
-	// requests are admitted until promotion. Mutually exclusive with
-	// DurableDir.
-	FollowAddr string
-	// LeaderLogPath is the shared-storage path of the leader's wal.log;
-	// promotion catches up from its valid prefix, which contains every
-	// acknowledged commit.
-	LeaderLogPath string
-	// MetricsAddr, when set, serves the observability plane there:
-	// Prometheus text on /metrics, /healthz, /readyz (ready = admitting;
-	// a follower is additionally ready only while its replication
-	// watermark advances or it has been promoted), and /debug/pprof.
-	MetricsAddr string
-	// TraceSlow, when positive, logs a rate-limited per-stage lifecycle
-	// trace for every request slower end-to-end than this threshold.
-	TraceSlow time.Duration
-	// ScrapeInterval is the tsdb self-scrape / alert evaluation cadence
-	// of the observability plane (default 1s; only meaningful with
-	// MetricsAddr).
-	ScrapeInterval time.Duration
-}
-
-// NetServer is a running `repro serve` instance.
-type NetServer struct {
-	// Srv is the wire server (Serve blocks on it).
-	Srv *server.Server
-	// Addr is the bound listen address.
-	Addr net.Addr
-	// Metrics is the observability-plane HTTP server (nil unless
-	// ServeConfig.MetricsAddr was set).
-	Metrics *telemetry.Server
-
-	store  *durable.Store
-	fol    *replica.Follower
-	cfg    ServeConfig
-	ckpt   *checkpointer
-	ts     *tsdb.Store
-	alerts *alert.Engine
-}
-
-// StartNetServer builds the scenario (populated, optionally durable)
-// and binds the listener. The caller runs Serve and, on shutdown,
-// Shutdown.
-func StartNetServer(cfg ServeConfig) (*NetServer, error) {
-	sc, err := ScaleByName(cfg.ScaleName)
-	if err != nil {
-		return nil, err
-	}
-	sc = sc.withDefaults()
-	y, err := ycsbSpecByID(cfg.Scenario)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.Shards <= 0 {
-		return nil, fmt.Errorf("experiments: serve needs a positive shard count")
-	}
-	m, backend, _, err := y.build(sc, cfg.Shards)
-	if err != nil {
-		return nil, err
-	}
-	heap := m.Heap()
-	sys, err := NewSystem(cfg.System, m, heap, cfg.Shards)
-	if err != nil {
-		return nil, err
-	}
-
-	ns := &NetServer{cfg: cfg}
-	scfg := server.Config{
-		Backend:   backend,
-		System:    sys,
-		Shards:    cfg.Shards,
-		BatchMax:  cfg.BatchMax,
-		AdmitWait: cfg.AdmitWait,
-		Scenario:  cfg.Scenario,
-		Scale:     cfg.ScaleName,
-		P99Target: cfg.P99Target,
-		TraceSlow: cfg.TraceSlow,
-	}
-	if cfg.FollowAddr != "" {
-		if cfg.DurableDir != "" {
-			return nil, fmt.Errorf("experiments: a follower cannot also serve durably (--follow excludes --durable-dir)")
-		}
-		// The replica's base image must be the exact deterministic build
-		// the leader's log was opened on; probe the leader and refuse a
-		// mismatched build rather than silently diverging.
-		probe, err := engine.DialRemote(cfg.FollowAddr, 1)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: probing leader %s: %w", cfg.FollowAddr, err)
-		}
-		st, err := probe.Stats()
-		probe.Close()
-		if err != nil {
-			return nil, fmt.Errorf("experiments: probing leader %s: %w", cfg.FollowAddr, err)
-		}
-		if !st.Durable {
-			return nil, fmt.Errorf("experiments: leader %s is not durable; a volatile server has no WAL to stream", cfg.FollowAddr)
-		}
-		if st.Scenario != cfg.Scenario || st.Scale != cfg.ScaleName || st.Shards != cfg.Shards {
-			return nil, fmt.Errorf("experiments: build mismatch with leader %s: it runs %s/%s shards=%d, this follower %s/%s shards=%d",
-				cfg.FollowAddr, st.Scenario, st.Scale, st.Shards, cfg.Scenario, cfg.ScaleName, cfg.Shards)
-		}
-		leader := cfg.FollowAddr
-		ns.fol, err = replica.NewFollower(replica.FollowerConfig{
-			Heap: heap,
-			Dial: func() (net.Conn, error) { return net.Dial("tcp", leader) },
-		})
-		if err != nil {
-			return nil, err
-		}
-		scfg.Follower = ns.fol
-		scfg.LeaderLogPath = cfg.LeaderLogPath
-	}
-	if cfg.DurableDir != "" {
-		if cfg.Scenario != "ycsb-a" {
-			return nil, fmt.Errorf("experiments: durable serving supports scenario ycsb-a, not %q", cfg.Scenario)
-		}
-		dir := cfg.DurableDir
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, err
-		}
-		// A fresh serve truncates wal.log; a checkpoint left by a previous
-		// run belongs to a different history (see StartDurable).
-		for _, stale := range []string{ckptPath(dir), ckptPath(dir) + ".tmp"} {
-			if err := os.Remove(stale); err != nil && !os.IsNotExist(err) {
-				return nil, err
-			}
-		}
-		meta := DurableMeta{
-			Scenario: cfg.Scenario,
-			System:   cfg.System,
-			Scale:    cfg.ScaleName,
-			Threads:  cfg.Shards,
-			WindowNS: int64(cfg.Window),
-		}
-		mj, err := json.MarshalIndent(meta, "", "  ")
-		if err != nil {
-			return nil, err
-		}
-		if err := os.WriteFile(metaPath(dir), append(mj, '\n'), 0o644); err != nil {
-			return nil, err
-		}
-		store, err := durable.Open(heap, logPath(dir), m.Topology().MaxThreads(),
-			durable.Config{Window: cfg.Window, WaitAck: true})
-		if err != nil {
-			return nil, err
-		}
-		ns.store = store
-		scfg.Backend = engine.NewDurableBackend(backend, store)
-		scfg.System = store.Attach(sys, m)
-		scfg.Store = store
-		scfg.CheckpointPath = ckptPath(dir)
-	}
-	ns.Srv, err = server.New(scfg)
-	if err != nil {
-		if ns.store != nil {
-			ns.store.Close()
-		}
-		return nil, err
-	}
-	ns.Addr, err = ns.Srv.Listen(cfg.Addr)
-	if err != nil {
-		if ns.store != nil {
-			ns.store.Close()
-		}
-		return nil, err
-	}
-	if ns.store != nil && cfg.CkptEvery > 0 {
-		ns.ckpt = startCheckpointer(ns.store, ckptPath(cfg.DurableDir), cfg.CkptEvery)
-	}
-	if ns.fol != nil {
-		ns.fol.Start()
-	}
-	if cfg.MetricsAddr != "" {
-		var fp followerProbe
-		if ns.fol != nil {
-			fp = ns.fol
-		}
-		ready := readyProbe(ns.Srv.Draining, fp)
-
-		// The analysis layer: the tsdb self-scrapes the registry and the
-		// alert engine evaluates the role-appropriate rule set on every
-		// scrape. Built before the listener so /debug/timeseries and
-		// /debug/alerts are live from the first request.
-		interval := cfg.ScrapeInterval
-		if interval <= 0 {
-			interval = tsdb.DefaultInterval
-		}
-		ns.ts = tsdb.New(ns.Srv.Telemetry(), tsdb.Config{Interval: interval})
-		ns.alerts, err = alert.New(ns.ts, ns.Srv.Telemetry(), alert.DefaultRules(alert.RuleOptions{
-			System:    cfg.System,
-			Interval:  interval,
-			P99Target: cfg.P99Target,
-			Durable:   ns.store != nil,
-			Follower:  ns.fol != nil,
-			Leader:    ns.store != nil, // durable leaders own the replication publisher
-		}), os.Stderr)
-		if err != nil {
-			ns.Shutdown()
-			return nil, fmt.Errorf("experiments: alert rules: %w", err)
-		}
-		ns.ts.Start()
-		ns.Metrics, err = telemetry.ListenAndServe(cfg.MetricsAddr, ns.Srv.Telemetry(), ready,
-			telemetry.Extra{Path: "/debug/traces", Handler: trace.Handler(ns.Srv.TraceRing())},
-			telemetry.Extra{Path: "/debug/timeseries", Handler: tsdb.Handler(ns.ts)},
-			telemetry.Extra{Path: "/debug/alerts", Handler: alert.Handler(ns.alerts)})
-		if err != nil {
-			ns.Shutdown()
-			return nil, fmt.Errorf("experiments: metrics listener: %w", err)
-		}
-	}
-	return ns, nil
-}
-
-// Shutdown drains gracefully: the fuzzy checkpointer stops first (so
-// it cannot race Drain's final checkpoint on the same path), then
-// in-flight commits quiesce, replies flush, and the durable store
-// writes the final checkpoint and closes.
-func (ns *NetServer) Shutdown() error {
-	// The observability plane goes first: its readiness probe reads
-	// server and follower state that the teardown below invalidates.
-	var err error
-	if ns.Metrics != nil {
-		err = ns.Metrics.Close()
-		ns.Metrics = nil
-	}
-	if ns.ts != nil {
-		ns.ts.Close()
-		ns.ts = nil
-		ns.alerts = nil
-	}
-	if herr := ns.ckpt.halt(); err == nil {
-		err = herr
-	}
-	ns.ckpt = nil
-	if derr := ns.Srv.Drain(); err == nil {
-		err = derr
-	}
-	if ns.fol != nil {
-		if ferr := ns.fol.Close(); err == nil {
-			err = ferr
-		}
-		ns.fol = nil
-	}
-	if ns.store != nil {
-		if cerr := ns.store.Close(); err == nil {
-			err = cerr
-		}
-		ns.store = nil
-	}
-	return err
 }
 
 // runLoadgenBatchSweep sweeps the admission-batch bound against a live

@@ -10,7 +10,6 @@ import (
 
 	"sihtm/internal/results"
 	"sihtm/internal/stats"
-	"sihtm/internal/telemetry"
 )
 
 // The net-observe cell proves the observability plane end to end: a
@@ -57,39 +56,28 @@ func netObserveEntry() Entry {
 		}
 		p := NetPoint{
 			Scenario: "ycsb-a", System: system, Threads: n, Batch: netBatchDefault,
-			Durable: true, Window: durableWindowDefault,
+			Durable:   true,
 			P99Target: time.Millisecond, CtrlInterval: netObserveCtrlInterval,
 		}
 
-		// The mid-measure observer stashes the host (for the final
-		// consistency check) and the scraped counter values.
-		var observed *netHost
+		// The mid-measure observer stashes the node (for the final
+		// consistency check) and the scraped counter values. It scrapes
+		// the node's own metrics listener — the handler stack `repro
+		// serve --metrics-addr` mounts.
+		var observed *NetServer
 		var scraped map[string]float64
-		mid := func(h *netHost) error {
+		mid := func(h *NetServer) error {
 			observed = h
-			// Serve the host's registry on an ephemeral port for the scrape
-			// window only: the cell exercises the same handler stack `repro
-			// serve --metrics-addr` mounts.
-			msrv, err := telemetry.ListenAndServe("127.0.0.1:0", h.srv.Telemetry(), func() error {
-				if h.srv.Draining() {
-					return fmt.Errorf("draining")
-				}
-				return nil
-			})
-			if err != nil {
-				return fmt.Errorf("net-observe: metrics listener: %w", err)
-			}
-			defer msrv.Close()
-
-			if body, err := httpGetOK(msrv.Addr(), "/healthz"); err != nil {
+			maddr := h.Metrics.Addr()
+			if body, err := httpGetOK(maddr, "/healthz"); err != nil {
 				return fmt.Errorf("net-observe: %w", err)
 			} else if !strings.Contains(body, "ok") {
 				return fmt.Errorf("net-observe: /healthz body %q", body)
 			}
-			if _, err := httpGetOK(msrv.Addr(), "/readyz"); err != nil {
+			if _, err := httpGetOK(maddr, "/readyz"); err != nil {
 				return fmt.Errorf("net-observe: serving host not ready: %w", err)
 			}
-			body, err := httpGetOK(msrv.Addr(), "/metrics")
+			body, err := httpGetOK(maddr, "/metrics")
 			if err != nil {
 				return fmt.Errorf("net-observe: %w", err)
 			}
@@ -139,7 +127,7 @@ func netObserveEntry() Entry {
 		// Counters are monotone: the mid-flight scrape must be bounded by
 		// the final totals, or the scrape path and the STATS plane are
 		// counting different events.
-		final := observed.srv.Snapshot()
+		final := observed.Srv.Snapshot()
 		for k, cause := range abortCauseLabels {
 			key := fmt.Sprintf(`sihtm_tm_aborts_total{cause=%q,system=%q}`, cause, system)
 			if got, max := scraped[key], final.Stats.Aborts[stats.AbortKind(k)]; got > float64(max) {

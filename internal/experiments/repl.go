@@ -2,17 +2,16 @@ package experiments
 
 import (
 	"fmt"
+	"io"
 	"net"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"sihtm/internal/harness"
-	"sihtm/internal/memsim"
 	"sihtm/internal/netchaos"
-	"sihtm/internal/replica"
 	"sihtm/internal/results"
-	"sihtm/internal/server"
 	"sihtm/internal/workload/engine"
 	"sihtm/internal/workload/ycsb"
 )
@@ -55,121 +54,62 @@ var replFollowerLadder = []int{1, 2, 3}
 // as a dead leader and triggers reconnect-and-resume.
 const replReadTimeout = 250 * time.Millisecond
 
-// replNode is one follower: its own deterministic build of the
-// scenario, the replica applier feeding its heap, and the read-only
-// server fronting it.
-type replNode struct {
-	fol     *replica.Follower
-	srv     *server.Server
-	addr    net.Addr
-	heap    *memsim.Heap
-	backend engine.Backend
-	chaos   *netchaos.Dialer
-	served  chan error
-}
-
 // replCluster is the in-process cluster: a durable leader plus
 // followers replaying its WAL stream, each node a full wire server.
 type replCluster struct {
-	y       ycsbSpec
-	keys    int
-	cell    *durableCell
-	heap    *memsim.Heap
-	backend engine.Backend
-	srv     *server.Server
-	addr    net.Addr
-	served  chan error
-	nodes   []*replNode
+	dir    string // the leader's temporary run directory
+	leader *NetServer
+	nodes  []*NetServer       // the followers
+	chaos  []*netchaos.Dialer // each follower's fault-injecting dialer, when seeded
 }
 
-// startReplCluster builds the leader (durable, so it is a replication
-// leader by construction) and followers many replica nodes. Every node
-// runs the identical deterministic build, so the followers' heaps start
-// from the same post-population base image the leader's log was opened
-// on — the contract stream replay (and crash recovery) relies on.
-// chaos, when non-nil, seeds a fault-injecting dialer per follower.
-func startReplCluster(y ycsbSpec, system string, sc Scale, threads, followers int, chaos *netchaos.Config) (*replCluster, error) {
-	m, backend, d, err := y.build(sc, threads)
+// replLeader is the leader configuration of the replication cells:
+// durable YCSB-A at the default group-commit window, one executor per
+// client thread.
+func replLeader(system string, threads int) ServeConfig {
+	return ServeConfig{
+		Scenario: "ycsb-a", System: system,
+		Shards: threads, BatchMax: netBatchDefault, Window: durableWindowDefault,
+	}
+}
+
+// startReplCluster starts the leader (durable, so it is a replication
+// leader by construction) in a fresh temporary run directory, and
+// followers many replica nodes of it. Every node runs the identical
+// deterministic build, so the followers' heaps start from the same
+// post-population base image the leader's log was opened on — the
+// contract stream replay (and crash recovery) relies on. chaos, when
+// non-nil, seeds a fault-injecting dialer per follower.
+func startReplCluster(leader ServeConfig, sc Scale, followers int, chaos *netchaos.Config) (*replCluster, error) {
+	dir, err := os.MkdirTemp("", "sihtm-repl-")
 	if err != nil {
 		return nil, err
 	}
-	heap := m.Heap()
-	sys, err := NewSystem(system, m, heap, threads)
-	if err != nil {
-		return nil, err
-	}
-	cell, err := openDurableCell(heap, m, durableWindowDefault)
-	if err != nil {
-		return nil, err
-	}
-	c := &replCluster{
-		y: y, keys: d.Spec().Keys, cell: cell,
-		heap: heap, backend: backend, served: make(chan error, 1),
-	}
+	c := &replCluster{dir: dir}
 	fail := func(err error) (*replCluster, error) {
 		c.close()
 		return nil, err
 	}
-	c.srv, err = server.New(server.Config{
-		Backend:  engine.NewDurableBackend(backend, cell.store),
-		System:   cell.store.Attach(sys, m),
-		Store:    cell.store,
-		Shards:   threads,
-		BatchMax: netBatchDefault,
-		Scenario: y.id,
-	})
-	if err != nil {
+	leader.Addr, leader.DurableDir = loopback, dir
+	if c.leader, err = inBackground(startNode(leader, sc, 0, 0, io.Discard, nil, 0)); err != nil {
 		return fail(err)
 	}
-	if c.addr, err = c.srv.Listen("127.0.0.1:0"); err != nil {
-		return fail(err)
-	}
-	go func() { c.served <- c.srv.Serve() }()
-
-	leaderAddr := c.addr.String()
+	fcfg := leader
+	fcfg.DurableDir, fcfg.Window, fcfg.MetricsAddr = "", 0, ""
+	fcfg.FollowAddr, fcfg.LeaderLogPath = c.leader.Addr.String(), logPath(dir)
 	for i := 0; i < followers; i++ {
-		fm, fbackend, _, err := y.build(sc, threads)
-		if err != nil {
-			return fail(err)
-		}
-		fheap := fm.Heap()
-		n := &replNode{heap: fheap, backend: fbackend, served: make(chan error, 1)}
-		dial := func() (net.Conn, error) { return net.Dial("tcp", leaderAddr) }
+		var dial func() (net.Conn, error) // nil: plain TCP
 		if chaos != nil {
 			cfg := *chaos
 			cfg.Seed += uint64(i) * 7919 // distinct schedule per follower
-			n.chaos = netchaos.NewDialer(leaderAddr, cfg)
-			dial = n.chaos.Dial
+			d := netchaos.NewDialer(fcfg.FollowAddr, cfg)
+			c.chaos = append(c.chaos, d)
+			dial = d.Dial
 		}
-		n.fol, err = replica.NewFollower(replica.FollowerConfig{
-			Heap:        fheap,
-			Dial:        dial,
-			ReadTimeout: replReadTimeout,
-		})
+		n, err := inBackground(startNode(fcfg, sc, 0, 0, io.Discard, dial, replReadTimeout))
 		if err != nil {
 			return fail(err)
 		}
-		fsys, err := NewSystem(system, fm, fheap, threads)
-		if err != nil {
-			return fail(err)
-		}
-		n.srv, err = server.New(server.Config{
-			Backend:       fbackend,
-			System:        fsys,
-			Shards:        threads,
-			BatchMax:      netBatchDefault,
-			Scenario:      y.id,
-			Follower:      n.fol,
-			LeaderLogPath: cell.logPath(),
-		})
-		if err != nil {
-			return fail(err)
-		}
-		if n.addr, err = n.srv.Listen("127.0.0.1:0"); err != nil {
-			return fail(err)
-		}
-		go func(n *replNode) { n.served <- n.srv.Serve() }(n)
-		n.fol.Start()
 		c.nodes = append(c.nodes, n)
 	}
 	return c, nil
@@ -179,7 +119,7 @@ func startReplCluster(y ycsbSpec, system string, sc Scale, threads, followers in
 func (c *replCluster) followerAddrs() []string {
 	addrs := make([]string, len(c.nodes))
 	for i, n := range c.nodes {
-		addrs[i] = n.addr.String()
+		addrs[i] = n.Addr.String()
 	}
 	return addrs
 }
@@ -188,19 +128,12 @@ func (c *replCluster) followerAddrs() []string {
 // the leader drains anyway, but this keeps shutdown orderly).
 func (c *replCluster) close() {
 	for _, n := range c.nodes {
-		if n.srv != nil {
-			n.srv.Drain()
-		}
-		if n.fol != nil {
-			n.fol.Close()
-		}
+		n.stop()
 	}
-	if c.srv != nil {
-		c.srv.Drain()
+	if c.leader != nil {
+		c.leader.stop()
 	}
-	if c.cell != nil {
-		c.cell.close()
-	}
+	os.RemoveAll(c.dir)
 }
 
 // runWorkers drives mk-built workers until stop is requested, returning
@@ -237,14 +170,14 @@ func (c *replCluster) replVerify(rb *engine.ReplicaBackend) error {
 	}
 	for i, n := range c.nodes {
 		n.fol.Stop()
-		if err := compareHeaps(c.heap, n.heap); err != nil {
+		if err := compareHeaps(c.leader.heap, n.heap); err != nil {
 			return fmt.Errorf("follower %d diverged: %w", i, err)
 		}
-		if err := engineCheck(n.backend, c.keys); err != nil {
+		if err := engineCheck(n.backend, n.keys); err != nil {
 			return fmt.Errorf("follower %d: %w", i, err)
 		}
 	}
-	return engineCheck(c.backend, c.keys)
+	return engineCheck(c.leader.backend, c.leader.keys)
 }
 
 // runReplReadPoint measures one (system × follower count) cell of
@@ -267,7 +200,7 @@ func runReplReadPoint(system string, sc Scale, followers int) (harness.Result, N
 			writers = sc.MaxThreads
 		}
 	}
-	c, err := startReplCluster(y, system, sc, readers, followers, nil)
+	c, err := startReplCluster(replLeader(system, readers), sc, followers, nil)
 	if err != nil {
 		return fail(err)
 	}
@@ -275,7 +208,7 @@ func runReplReadPoint(system string, sc Scale, followers int) (harness.Result, N
 
 	// Write stream: the leader's own YCSB-A mix over a plain remote
 	// backend (acks ride group-commit fsyncs, records stream out).
-	wb, err := engine.DialRemote(c.addr.String(), (writers+1)/2)
+	wb, err := engine.DialRemote(c.leader.Addr.String(), (writers+1)/2)
 	if err != nil {
 		return fail(err)
 	}
@@ -295,14 +228,14 @@ func runReplReadPoint(system string, sc Scale, followers int) (harness.Result, N
 	// snapshot reads: SyncReads off).
 	rspec, err := ycsb.Spec(ycsb.Config{
 		Workload: ycsb.C,
-		Keys:     c.keys,
+		Keys:     c.leader.keys,
 		OpsPerTx: y.opsPerTx,
 		Seed:     uint64(readers)*19 + 5,
 	})
 	if err != nil {
 		return fail(err)
 	}
-	rb, err := engine.DialReplica(c.addr.String(), c.followerAddrs(), (readers+1)/2)
+	rb, err := engine.DialReplica(c.leader.Addr.String(), c.followerAddrs(), (readers+1)/2)
 	if err != nil {
 		return fail(err)
 	}
@@ -402,13 +335,13 @@ func runReplFailover(e Entry, system string, sc Scale, hook func(results.Record)
 		writers = sc.MaxThreads
 	}
 	chaos := replChaosConfig
-	c, err := startReplCluster(y, system, sc, writers, 2, &chaos)
+	c, err := startReplCluster(replLeader(system, writers), sc, 2, &chaos)
 	if err != nil {
 		return err
 	}
 	defer c.close()
 
-	wb, err := engine.DialRemote(c.addr.String(), (writers+1)/2)
+	wb, err := engine.DialRemote(c.leader.Addr.String(), (writers+1)/2)
 	if err != nil {
 		return err
 	}
@@ -447,11 +380,11 @@ func runReplFailover(e Entry, system string, sc Scale, hook func(results.Record)
 	// valid prefix holds all of it — that file is what a SIGKILL leaves
 	// behind, and what the promotion must recover from. The leader is
 	// abandoned from here on.
-	killSeq := c.cell.store.DurableSeq()
+	killSeq := c.leader.store.DurableSeq()
 
 	promoted := c.nodes[0]
 	behind := killSeq - promoted.fol.Watermark() // informational: chaos-induced lag at the kill
-	pb, err := engine.DialRemote(promoted.addr.String(), (writers+1)/2)
+	pb, err := engine.DialRemote(promoted.Addr.String(), (writers+1)/2)
 	if err != nil {
 		return err
 	}
@@ -466,13 +399,13 @@ func runReplFailover(e Entry, system string, sc Scale, hook func(results.Record)
 	if rs.Watermark < killSeq {
 		return fmt.Errorf("ACKED LOSS: promoted watermark %d < durable frontier %d at kill", rs.Watermark, killSeq)
 	}
-	if err := compareHeaps(c.heap, promoted.heap); err != nil {
+	if err := compareHeaps(c.leader.heap, promoted.heap); err != nil {
 		return fmt.Errorf("promoted state diverged: %w", err)
 	}
-	if err := engineCheck(promoted.backend, c.keys); err != nil {
+	if err := engineCheck(promoted.backend, promoted.keys); err != nil {
 		return fmt.Errorf("promoted state: %w", err)
 	}
-	if promoted.chaos != nil && promoted.chaos.Cuts() == 0 && rs.Reconnects == 0 {
+	if c.chaos[0].Cuts() == 0 && rs.Reconnects == 0 {
 		return fmt.Errorf("chaos schedule never engaged (no cuts, no reconnects); the cell proved nothing")
 	}
 
@@ -493,7 +426,7 @@ func runReplFailover(e Entry, system string, sc Scale, hook func(results.Record)
 	if post.Commits == 0 {
 		return fmt.Errorf("promoted node served no write commits")
 	}
-	if err := engineCheck(promoted.backend, c.keys); err != nil {
+	if err := engineCheck(promoted.backend, promoted.keys); err != nil {
 		return fmt.Errorf("post-promotion state: %w", err)
 	}
 	hook(e.recordNet(fmt.Sprintf("phase=postpromote lag=%d", behind), harness.Result{

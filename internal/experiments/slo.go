@@ -11,9 +11,6 @@ import (
 	"sihtm/internal/loadgen"
 	"sihtm/internal/report"
 	"sihtm/internal/results"
-	"sihtm/internal/telemetry"
-	"sihtm/internal/trace"
-	"sihtm/internal/tsdb"
 	"sihtm/internal/wire"
 	"sihtm/internal/workload/engine"
 )
@@ -30,6 +27,10 @@ import (
 
 // sloConns is the open-loop connection count of the overload phase.
 const sloConns = 32
+
+// sloRetention is the tsdb's snapshot count: enough scrapes at the
+// cell's cadence to keep the whole fire-and-resolve history.
+const sloRetention = 1024
 
 // sloArrivalRate is the total offered load (ops/sec): far above what 4
 // shards serve at batch 256 under htm capacity aborts, so the cliff is
@@ -67,37 +68,22 @@ func netSLOEntry() Entry {
 		if err != nil {
 			return err
 		}
-		host, err := startNetHost(y, NetPoint{
-			Scenario: "ycsb-a", System: system,
-			Threads: connScaleShards, Shards: connScaleShards,
-		}, sc)
-		if err != nil {
-			return err
-		}
-		verified := false
-		defer func() {
-			if !verified {
-				host.close()
-			}
-		}()
-
-		// The analysis stack, exactly as StartNetServer wires it for a
-		// volatile server: tsdb over the live registry, the default rule
-		// set (capacity rule only — no SLO target, no WAL, no replica),
-		// evaluation on every scrape.
+		// The analysis stack rides on the node: tsdb over the live
+		// registry, the default rule set (capacity rule only — no SLO
+		// target, no WAL, no replica), evaluation on every scrape.
 		interval := sloScrapeInterval(sc)
-		ts := tsdb.New(host.srv.Telemetry(), tsdb.Config{Interval: interval, Retention: 1024})
-		eng, err := alert.New(ts, host.srv.Telemetry(), alert.DefaultRules(alert.RuleOptions{
-			System:   system,
-			Interval: interval,
-		}), io.Discard)
+		host, err := inBackground(startNode(ServeConfig{
+			Addr: loopback, Scenario: "ycsb-a", System: system,
+			Shards: connScaleShards, BatchMax: netBatchDefault,
+			MetricsAddr: loopback, ScrapeInterval: interval,
+		}, sc, 0, sloRetention, io.Discard, nil, 0))
 		if err != nil {
 			return err
 		}
-		ts.Start()
-		defer ts.Close()
+		defer host.stop()
+		eng := host.alerts
 
-		addr := host.addr.String()
+		addr := host.Addr.String()
 		rb, err := engine.DialRemote(addr, 1)
 		if err != nil {
 			return err
@@ -165,16 +151,8 @@ func netSLOEntry() Entry {
 		}
 
 		// Incident report, over the same HTTP surfaces `repro report`
-		// uses: serve the three debug endpoints, collect, analyze, render.
-		msrv, err := telemetry.ListenAndServe("127.0.0.1:0", host.srv.Telemetry(), nil,
-			telemetry.Extra{Path: "/debug/traces", Handler: trace.Handler(host.srv.TraceRing())},
-			telemetry.Extra{Path: "/debug/timeseries", Handler: tsdb.Handler(ts)},
-			telemetry.Extra{Path: "/debug/alerts", Handler: alert.Handler(eng)})
-		if err != nil {
-			return fmt.Errorf("net-slo: metrics listener: %w", err)
-		}
-		nd, err := report.Collect("leader", "http://"+msrv.Addr())
-		msrv.Close()
+		// uses: collect the node's three debug endpoints, analyze, render.
+		nd, err := report.Collect("leader", "http://"+host.Metrics.Addr())
 		if err != nil {
 			return fmt.Errorf("net-slo: collect: %w", err)
 		}
@@ -209,13 +187,10 @@ func netSLOEntry() Entry {
 			return fmt.Errorf("net-slo: rendered report is empty or missing the capacity rule")
 		}
 
-		// Stop scraping before the host drains, then run the standard
-		// invariant checks.
-		ts.Close()
-		if err := host.verify(y, NetPoint{Scenario: "ycsb-a", System: system, Threads: connScaleShards}, sc); err != nil {
+		// Stop scraping and drain, then run the standard invariant checks.
+		if err := host.verify(); err != nil {
 			return err
 		}
-		verified = true
 
 		var firings uint64
 		for _, ev := range an.Timeline {

@@ -7,7 +7,6 @@ import (
 
 	"sihtm/internal/harness"
 	"sihtm/internal/results"
-	"sihtm/internal/telemetry"
 	"sihtm/internal/trace"
 	"sihtm/internal/workload/engine"
 )
@@ -73,13 +72,15 @@ func netTraceEntry() Entry {
 		if err != nil {
 			return fail(err)
 		}
-		c, err := startReplCluster(y, system, sc, threads, 1, nil)
+		leader := replLeader(system, threads)
+		leader.MetricsAddr = loopback // the ring is fetched over /debug/traces
+		c, err := startReplCluster(leader, sc, 1, nil)
 		if err != nil {
 			return fail(err)
 		}
 		defer c.close()
 
-		wb, err := engine.DialRemote(c.addr.String(), (threads+1)/2)
+		wb, err := engine.DialRemote(c.leader.Addr.String(), (threads+1)/2)
 		if err != nil {
 			return fail(err)
 		}
@@ -118,23 +119,17 @@ func netTraceEntry() Entry {
 		// frontier covers every acknowledged commit; once the follower's
 		// watermark reaches it, every traced commit still in the rings has
 		// its repl_apply span recorded.
-		frontier := c.cell.store.DurableSeq()
+		frontier := c.leader.store.DurableSeq()
 		fol := c.nodes[0]
 		if !fol.fol.WaitWatermark(frontier, 10*time.Second) {
 			return fail(fmt.Errorf("follower stuck at watermark %d, leader frontier %d",
 				fol.fol.Watermark(), frontier))
 		}
 
-		// Fetch the leader's ring over the same /debug/traces endpoint
-		// `repro serve --metrics-addr` mounts, so the HTTP query surface
-		// is exercised, not just the in-process snapshot.
-		msrv, err := telemetry.ListenAndServe("127.0.0.1:0", c.srv.Telemetry(), nil,
-			telemetry.Extra{Path: "/debug/traces", Handler: trace.Handler(c.srv.TraceRing())})
-		if err != nil {
-			return fail(err)
-		}
-		defer msrv.Close()
-		body, err := httpGetOK(msrv.Addr(), "/debug/traces")
+		// Fetch the leader's ring over the /debug/traces endpoint of its
+		// metrics listener, so the HTTP query surface is exercised, not
+		// just the in-process snapshot.
+		body, err := httpGetOK(c.leader.Metrics.Addr(), "/debug/traces")
 		if err != nil {
 			return fail(err)
 		}
@@ -149,7 +144,7 @@ func netTraceEntry() Entry {
 		ix := make(traceIndex)
 		ix.add(clientRing.Snapshot(nil))
 		ix.add(leaderSpans)
-		ix.add(fol.srv.TraceRing().Snapshot(nil))
+		ix.add(fol.Srv.TraceRing().Snapshot(nil))
 		var fsyncs []trace.Span
 		for _, s := range leaderSpans {
 			if s.Kind == trace.KFsync {
@@ -200,7 +195,7 @@ func netTraceEntry() Entry {
 		}
 		if complete == 0 {
 			return fail(fmt.Errorf("no complete end-to-end trace across %d ids (client=%d leader=%d follower=%d spans)",
-				len(ix), clientRing.Total(), c.srv.TraceRing().Total(), fol.srv.TraceRing().Total()))
+				len(ix), clientRing.Total(), c.leader.Srv.TraceRing().Total(), fol.Srv.TraceRing().Total()))
 		}
 
 		// Cross-layer invariants on the chosen exemplar.
@@ -222,7 +217,7 @@ func netTraceEntry() Entry {
 		// an exemplar, and with every request client-traced it must be a
 		// client-originated id present in the reconstruction index.
 		hist := sv1.Hist.Sub(sv0.Hist)
-		exID := c.srv.Exemplars().ForQuantile(hist, 0.99)
+		exID := c.leader.Srv.Exemplars().ForQuantile(hist, 0.99)
 		if exID == 0 {
 			return fail(fmt.Errorf("p99 exemplar empty after a fully traced window"))
 		}
@@ -237,7 +232,7 @@ func netTraceEntry() Entry {
 		}
 		ex := NetExtras{P50: hist.Quantile(0.5), P99: hist.Quantile(0.99)}
 		r := e.recordNet("", hr, ex)
-		r.TraceSpansTotal = c.srv.TraceRing().Total()
+		r.TraceSpansTotal = c.leader.Srv.TraceRing().Total()
 		r.TraceStageSumUs = float64(stageSum) / float64(time.Microsecond)
 		r.TraceClientUs = float64(client.Dur) / float64(time.Microsecond)
 		hook(r)

@@ -98,6 +98,9 @@ func NewSystem(m *htm.Machine, threads int, cfg Config) *System {
 	return s
 }
 
+// SGL returns the fall-back path's single global lock.
+func (s *System) SGL() *sgl.Lock { return s.lock }
+
 // Name implements tm.System.
 func (s *System) Name() string { return "p8tm" }
 

@@ -20,9 +20,9 @@ import (
 	"sihtm/internal/tm"
 )
 
-// unlocked is the lock word value when free. A holder stores its thread
+// Unlocked is the lock word value when free. A holder stores its thread
 // id + 1.
-const unlocked = 0
+const Unlocked = 0
 
 // Lock is a test-and-test-and-set global lock over a heap cache line.
 type Lock struct {
@@ -40,7 +40,7 @@ func (l *Lock) Addr() memsim.Addr { return l.addr }
 
 // IsLocked reports whether the lock is held, via a plain load.
 func (l *Lock) IsLocked(th *htm.Thread) bool {
-	return th.Load(l.addr) != unlocked
+	return th.Load(l.addr) != Unlocked
 }
 
 // HeldBy reports whether the lock is held by the given thread.
@@ -52,8 +52,8 @@ func (l *Lock) HeldBy(th *htm.Thread) bool {
 // dooms every transaction subscribed to the lock word.
 func (l *Lock) Acquire(th *htm.Thread) {
 	for {
-		if th.Load(l.addr) == unlocked &&
-			th.CompareAndSwap(l.addr, unlocked, uint64(th.ID())+1) {
+		if th.Load(l.addr) == Unlocked &&
+			th.CompareAndSwap(l.addr, Unlocked, uint64(th.ID())+1) {
 			return
 		}
 		runtime.Gosched()
@@ -65,7 +65,7 @@ func (l *Lock) Release(th *htm.Thread) {
 	if !l.HeldBy(th) {
 		panic("sgl: Release by non-holder")
 	}
-	th.Store(l.addr, unlocked)
+	th.Store(l.addr, Unlocked)
 }
 
 // WaitUnlocked spins until the lock is observed free.
@@ -95,6 +95,9 @@ type System struct {
 func NewSystem(m *htm.Machine, threads int) *System {
 	return &System{m: m, lock: New(m), threads: threads, col: stats.New(threads)}
 }
+
+// SGL returns the global lock.
+func (s *System) SGL() *Lock { return s.lock }
 
 // Name implements tm.System.
 func (s *System) Name() string { return "sgl" }
